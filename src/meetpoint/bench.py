@@ -59,18 +59,17 @@ def time_selection(
     *,
     weights: ObjectiveWeights | None = None,
     reps: int = 5,
-    parallelism: int = 1,
 ) -> float:
     """Median wall time of matrix build plus destination selection.
 
     One untimed warmup run absorbs first-touch costs before measuring.
     """
-    plan_destination(graph, positions, None, weights, parallelism=parallelism)
+    plan_destination(graph, positions, None, weights)
     samples = []
     with _quiesced_gc():
         for _ in range(reps):
             start = time.perf_counter()
-            plan_destination(graph, positions, None, weights, parallelism=parallelism)
+            plan_destination(graph, positions, None, weights)
             samples.append(time.perf_counter() - start)
     return statistics.median(samples)
 
@@ -108,7 +107,6 @@ def _interleaved_md_times(
     *,
     weights: ObjectiveWeights | None,
     reps: int,
-    parallelism: int,
 ) -> dict[int, float]:
     """Per-cell medians measured round-robin across user counts.
 
@@ -118,12 +116,12 @@ def _interleaved_md_times(
     """
     samples: dict[int, list[float]] = {count: [] for count in positions_by_count}
     for positions in positions_by_count.values():  # warmup, untimed
-        plan_destination(graph, positions, None, weights, parallelism=parallelism)
+        plan_destination(graph, positions, None, weights)
     with _quiesced_gc():
         for _ in range(reps):
             for count, positions in positions_by_count.items():
                 start = time.perf_counter()
-                plan_destination(graph, positions, None, weights, parallelism=parallelism)
+                plan_destination(graph, positions, None, weights)
                 samples[count].append(time.perf_counter() - start)
     return {count: statistics.median(times) for count, times in samples.items()}
 
@@ -136,7 +134,6 @@ def run_bench(
     floyd_timeout: float = 300.0,
     include_floyd: bool = True,
     seed: int = 0,
-    parallelism: int = 1,
     weights: ObjectiveWeights | None = None,
 ) -> list[BenchRow]:
     rows = []
@@ -147,9 +144,7 @@ def run_bench(
             count: sample_positions(graph.vertex_count, count, map_name=size, seed=seed)
             for count in counts
         }
-        md_times = _interleaved_md_times(
-            graph, positions_by_count, weights=weights, reps=reps, parallelism=parallelism
-        )
+        md_times = _interleaved_md_times(graph, positions_by_count, weights=weights, reps=reps)
         for count in counts:
             if include_floyd:
                 floyd, censored = time_baseline(
@@ -165,9 +160,9 @@ def run_bench(
     return rows
 
 
-def format_csv(rows: Iterable[BenchRow], *, parallelism: int = 1) -> str:
-    """CSV with a reproducibility comment line ahead of the header."""
-    lines = [f"# parallelism={parallelism}", CSV_HEADER]
+def format_csv(rows: Iterable[BenchRow]) -> str:
+    """Header line plus one line per cell."""
+    lines = [CSV_HEADER]
     for row in rows:
         if row.floyd_censored:
             floyd = "censored"
@@ -179,5 +174,5 @@ def format_csv(rows: Iterable[BenchRow], *, parallelism: int = 1) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(rows: Iterable[BenchRow], out: TextIO, *, parallelism: int = 1) -> None:
-    out.write(format_csv(rows, parallelism=parallelism))
+def write_csv(rows: Iterable[BenchRow], out: TextIO) -> None:
+    out.write(format_csv(rows))

@@ -109,9 +109,7 @@ def _print_plan(plan: PlanResult, users: Sequence[int], out) -> None:
 
 def cmd_solve(args) -> int:
     graph, users, profile, _ = _load_instance(args)
-    plan = plan_destination(
-        graph, users, profile, _objective_weights(args), parallelism=args.parallelism
-    )
+    plan = plan_destination(graph, users, profile, _objective_weights(args))
     _print_plan(plan, users, sys.stdout)
     if args.out:
         with open(args.out, "w") as fh:
@@ -165,9 +163,8 @@ def cmd_bench(args) -> int:
         floyd_timeout=args.floyd_timeout,
         include_floyd=not args.no_floyd,
         seed=args.seed,
-        parallelism=args.parallelism,
     )
-    csv_text = benchmod.format_csv(rows, parallelism=args.parallelism)
+    csv_text = benchmod.format_csv(rows)
     if args.out:
         Path(args.out).write_text(csv_text)
     else:
@@ -208,8 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta", type=float, help="weight of travel disparity (default 0.5)")
         p.add_argument("--scores", help="priority scores, e.g. '4,3;5,4' (users ;, objectives ,)")
         p.add_argument("--out", help="also write the result to this path")
-        p.add_argument("--parallelism", type=int, default=1,
-                       help="worker threads for per-user searches")
 
     p_solve = sub.add_parser("solve", help="pick the meeting vertex for one instance")
     add_instance_args(p_solve)
@@ -231,7 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--no-floyd", action="store_true", help="skip the baseline")
     p_bench.add_argument("--seed", type=int, default=0,
                          help="seed for wall layouts and user placement")
-    p_bench.add_argument("--parallelism", type=int, default=1)
     p_bench.add_argument("--out", help="CSV output path (default stdout)")
     p_bench.set_defaults(func=cmd_bench)
 

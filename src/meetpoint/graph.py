@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import EmptyChannelList, InvalidEdgeEndpoint, NegativeWeight, UnknownChannel
@@ -19,14 +22,23 @@ class Graph:
     Every edge carries one finite, non-negative weight per named channel;
     the first channel is conventionally ``"distance"``. Instances are safe
     to share between threads once constructed.
+
+    Outgoing edges are stored flat: ``out_targets[v]`` lists the targets of
+    ``v`` in ascending id order (parallel edges keep their input order) and
+    ``out_weights[c][v]`` the matching weights on channel ``c``.
+    ``unit_weight[c]`` tells whether every weight on channel ``c`` is the
+    integer 1, which lets searches on that channel run as plain BFS.
     """
 
     vertex_count: int
     edges: tuple[Edge, ...]
     channels: tuple[str, ...] = ("distance",)
-    _adjacency: tuple[tuple[tuple[int, tuple[float, ...]], ...], ...] = field(
+    out_targets: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    out_weights: tuple[tuple[tuple[float, ...], ...], ...] = field(
         init=False, repr=False, compare=False
     )
+    unit_weight: tuple[bool, ...] = field(init=False, repr=False, compare=False)
+    _reverse: Graph | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if self.vertex_count < 0:
@@ -35,26 +47,38 @@ class Graph:
             raise EmptyChannelList("at least one weight channel is required")
         if self.channels[0] != "distance":
             raise ValueError(f"the first channel must be 'distance', got {self.channels[0]!r}")
-        width = len(self.channels)
-        adjacency: list[list[tuple[int, tuple[float, ...]]]] = [
-            [] for _ in range(self.vertex_count)
-        ]
-        for u, v, weights in self.edges:
-            if not (0 <= u < self.vertex_count) or not (0 <= v < self.vertex_count):
-                raise InvalidEdgeEndpoint(
-                    f"edge ({u}, {v}) out of range for {self.vertex_count} vertices"
+        n, width = self.vertex_count, len(self.channels)
+        # sorted by (source, target); the sort is stable, so parallel edges
+        # keep their input order
+        ordered = sorted(self.edges, key=itemgetter(0, 1))
+        sources = list(map(itemgetter(0), ordered))
+        heads = tuple(map(itemgetter(1), ordered))
+        if ordered and (sources[0] < 0 or sources[-1] >= n or min(heads) < 0 or max(heads) >= n):
+            u, v, _ = next(e for e in self.edges if not (0 <= e[0] < n and 0 <= e[1] < n))
+            raise InvalidEdgeEndpoint(f"edge ({u}, {v}) out of range for {n} vertices")
+        weight_rows = list(map(itemgetter(2), ordered))
+        if set(map(len, weight_rows)) - {width}:
+            u, v, weights = next(e for e in self.edges if len(e[2]) != width)
+            raise ValueError(f"edge ({u}, {v}) carries {len(weights)} weights, expected {width}")
+
+        # vertex u's out-edges are ordered[offsets[u]:offsets[u + 1]]
+        offsets = list(map(bisect_left, repeat(sources, n + 1), range(n + 1)))
+        spans = list(zip(offsets, offsets[1:]))
+        out_weights = []
+        unit = []
+        for ci, name in enumerate(self.channels):
+            column = tuple(map(itemgetter(ci), weight_rows))
+            if not all(map(math.isfinite, column)) or min(column, default=0) < 0:
+                u, v, w = next(
+                    (u, v, weights[ci]) for u, v, weights in self.edges
+                    if not 0 <= weights[ci] < math.inf
                 )
-            if len(weights) != width:
-                raise ValueError(
-                    f"edge ({u}, {v}) carries {len(weights)} weights, expected {width}"
-                )
-            for name, w in zip(self.channels, weights):
-                if w < 0 or not math.isfinite(w):
-                    raise NegativeWeight(f"edge ({u}, {v}), channel {name!r}: {w!r}")
-            adjacency[u].append((v, weights))
-        for out in adjacency:
-            out.sort(key=lambda entry: entry[0])
-        object.__setattr__(self, "_adjacency", tuple(tuple(out) for out in adjacency))
+                raise NegativeWeight(f"edge ({u}, {v}), channel {name!r}: {w!r}")
+            out_weights.append(tuple(column[a:b] for a, b in spans))
+            unit.append(column.count(1) == len(column) and set(map(type, column)) <= {int})
+        object.__setattr__(self, "out_targets", tuple(heads[a:b] for a, b in spans))
+        object.__setattr__(self, "out_weights", tuple(out_weights))
+        object.__setattr__(self, "unit_weight", tuple(unit))
 
     def channel_index(self, channel: str) -> int:
         try:
@@ -62,14 +86,17 @@ class Graph:
         except ValueError:
             raise UnknownChannel(channel) from None
 
-    def out_edges(self, v: int) -> tuple[tuple[int, tuple[float, ...]], ...]:
-        """Outgoing edges of ``v`` as (target, weights), ascending target id."""
-        return self._adjacency[v]
-
     def reverse(self) -> Graph:
-        """The same graph with every edge flipped."""
-        flipped = tuple((v, u, w) for u, v, w in self.edges)
-        return Graph(self.vertex_count, flipped, self.channels)
+        """The same graph with every edge flipped.
+
+        Built on the first call and kept, so later calls return the same
+        object. Two threads racing on the first call may each build one; the
+        results are equal.
+        """
+        if self._reverse is None:
+            flipped = tuple((v, u, w) for u, v, w in self.edges)
+            object.__setattr__(self, "_reverse", Graph(self.vertex_count, flipped, self.channels))
+        return self._reverse
 
 
 def build_graph(
@@ -97,4 +124,4 @@ def build_graph(
 def neighbors(graph: Graph, v: int, channel: str = "distance") -> list[tuple[int, float]]:
     """Outgoing (target, weight) pairs of ``v`` on one channel, ascending target id."""
     ci = graph.channel_index(channel)
-    return [(to, weights[ci]) for to, weights in graph.out_edges(v)]
+    return list(zip(graph.out_targets[v], graph.out_weights[ci][v]))

@@ -5,14 +5,18 @@ shortest distance into a vertex; ``similarity_penalty`` sums the pairwise
 absolute differences of those distances, so it is zero exactly where all
 users travel equally far. The two are combined as weighted shares of their
 own sums, and the lowest-scoring vertex reachable by everyone wins.
+
+Each layer is one pass over the rows or columns of the distance matrix, so a
+solve costs O(V k log k) for k users on V vertices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Literal, Sequence
+from itertools import compress, repeat
+from operator import add, mul, sub
+from typing import Iterable, Literal, Sequence
 
 from .errors import (
     AllZeroScores,
@@ -81,34 +85,41 @@ class ObjectiveWeights:
 def total_distance(matrix: DistanceMatrix) -> ScoreVector:
     """Column sums over user rows; any unreachable entry poisons its column.
 
-    Sums use math.fsum, so the result is bit-identical under any user order.
+    Each column is summed in ascending order (``matrix.ranked``), so the
+    result is bit-identical under any user order and exact on integers.
     """
     if not matrix.rows:
         raise EmptyMatrix("matrix has no rows")
-    values = []
-    for v in range(matrix.vertex_count):
-        column = [row.distances[v] for row in matrix.rows]
-        values.append(UNREACHABLE if UNREACHABLE in column else math.fsum(column))
-    return ScoreVector(tuple(values), "total")
+    acc: Iterable[float] = repeat(0.0, matrix.vertex_count)
+    for ranked_row in matrix.ranked:
+        acc = map(add, acc, ranked_row)
+    return ScoreVector(tuple(acc), "total")
 
 
 def similarity_penalty(matrix: DistanceMatrix) -> ScoreVector:
     """Per-vertex sum of |distance difference| over unordered user pairs.
 
     Zero everywhere for a single user; unreachable columns stay unreachable.
+    With a column sorted as a_(0) <= ... <= a_(k-1), the sum equals
+    sum_{m=1}^{k-1} m (k - m) (a_(m) - a_(m-1)): every gap is crossed by the
+    m users below it times the k - m above it. All terms are non-negative
+    and the result is exact on integer distances.
     """
     if not matrix.rows:
         raise EmptyMatrix("matrix has no rows")
-    rows = matrix.rows
-    pairs = list(combinations(range(len(rows)), 2))
-    values = []
-    for v in range(matrix.vertex_count):
-        column = [row.distances[v] for row in rows]
-        if UNREACHABLE in column:
-            values.append(UNREACHABLE)
-            continue
-        values.append(math.fsum(abs(column[a] - column[b]) for a, b in pairs))
-    return ScoreVector(tuple(values), "similarity")
+    ranked = matrix.ranked
+    k = len(ranked)
+    acc: Iterable[float] = repeat(0.0, matrix.vertex_count)
+    for m in range(1, k):
+        gaps = map(sub, ranked[m], ranked[m - 1])
+        acc = map(add, acc, map(mul, repeat(m * (k - m)), gaps))
+    values = tuple(acc)
+    if UNREACHABLE in ranked[-1]:
+        # a column holding inf sorts it last; its gap sum is inf or nan (inf - inf)
+        values = tuple(
+            UNREACHABLE if top == UNREACHABLE else x for top, x in zip(ranked[-1], values)
+        )
+    return ScoreVector(values, "similarity")
 
 
 def normalize(values: Sequence[float]) -> list[float]:
@@ -161,21 +172,27 @@ def blend_objectives(
     if len(matrices) == 1 and weights[0] == 1:
         return first
 
+    # users sharing a source share its row objects; blend each row set once
+    blended: dict[tuple[int, ...], DistanceRow] = {}
     blended_rows = []
-    for i in range(first.user_count):
-        entries = []
-        for v in range(first.vertex_count):
-            cell = [m.rows[i].distances[v] for m in matrices]
-            if UNREACHABLE in cell:
-                entries.append(UNREACHABLE)
-                continue
-            acc = 0.0
-            for w, d in zip(weights, cell):
-                acc += w * d
-            entries.append(acc)
-        blended_rows.append(DistanceRow(first.rows[i].source, tuple(entries)))
+    for cells in zip(*(m.rows for m in matrices)):
+        key = tuple(map(id, cells))
+        row = blended.get(key)
+        if row is None:
+            row = blended[key] = DistanceRow(cells[0].source, _blend_row(cells, weights))
+        blended_rows.append(row)
     channel = "+".join(m.channel for m in matrices)
     return DistanceMatrix(tuple(blended_rows), channel)
+
+
+def _blend_row(cells: Sequence[DistanceRow], weights: Sequence[float]) -> tuple[float, ...]:
+    """0.0 + w_1 d_1 + w_2 d_2 + ... per vertex, summed left to right."""
+    acc: Iterable[float] = repeat(0.0, len(cells[0].distances))
+    for w, cell in zip(weights, cells):
+        acc = map(add, acc, map(mul, repeat(w), cell.distances))
+    # an unreachable entry in any channel leaves inf, -inf or nan (0 * inf)
+    inf = UNREACHABLE
+    return tuple(x if -inf < x < inf else inf for x in acc)
 
 
 def combine(
@@ -191,25 +208,29 @@ def combine(
         raise LengthMismatch(
             f"{len(d_total.values)} total entries vs {len(d_sim.values)} disparity entries"
         )
-    finite = [
-        v
-        for v in range(len(d_total.values))
-        if d_total.values[v] != UNREACHABLE and d_sim.values[v] != UNREACHABLE
-    ]
-    if not finite:
+    totals, sims = d_total.values, d_sim.values
+    finite = None  # every vertex counts, as on any connected graph
+    counted_totals, counted_sims = totals, sims
+    if UNREACHABLE in totals or UNREACHABLE in sims:
+        finite = [t != UNREACHABLE and s != UNREACHABLE for t, s in zip(totals, sims)]
+        counted_totals = tuple(compress(totals, finite))
+        counted_sims = tuple(compress(sims, finite))
+    if not counted_totals:
         raise NoMutuallyReachableVertex("no vertex is reachable by every user")
-    sum_total = math.fsum(d_total.values[v] for v in finite)
-    sum_sim = math.fsum(d_sim.values[v] for v in finite)
+    sum_total = math.fsum(counted_totals)
+    sum_sim = math.fsum(counted_sims)
 
-    values = [UNREACHABLE] * len(d_total.values)
-    for v in finite:
-        score = 0.0
-        if sum_total > 0:
-            score += weights.alpha * (d_total.values[v] / sum_total)
-        if sum_sim > 0:
-            score += weights.beta * (d_sim.values[v] / sum_sim)
-        values[v] = score
-    return ScoreVector(tuple(values), "combined")
+    # a term whose sum is not positive contributes 0.0 * (x / 1.0) == 0.0, so
+    # every entry is 0.0 + alpha * (t / sum_total) + beta * (s / sum_sim)
+    # with the same rounding as adding only the terms that count
+    alpha, sum_total = (weights.alpha, sum_total) if sum_total > 0 else (0.0, 1.0)
+    beta, sum_sim = (weights.beta, sum_sim) if sum_sim > 0 else (0.0, 1.0)
+    values = tuple([
+        0.0 + alpha * (t / sum_total) + beta * (s / sum_sim) for t, s in zip(totals, sims)
+    ])
+    if finite is not None:  # the other entries came out inf or nan (0 * inf)
+        values = tuple(v if ok else UNREACHABLE for v, ok in zip(values, finite))
+    return ScoreVector(values, "combined")
 
 
 def select_destination(combined: ScoreVector, reachability: ReachabilitySet) -> int:
@@ -245,14 +266,13 @@ def plan_destination(
     positions: Sequence[int],
     profile: PreferenceProfile | None = None,
     weights: ObjectiveWeights | None = None,
-    *,
-    parallelism: int = 1,
 ) -> PlanResult:
     """Full selection pipeline from current user positions.
 
     Builds one distance matrix per objective channel, blends them with the
-    profile's priority weights, scores every vertex and picks the argmin.
-    Without a profile only the ``distance`` channel is used.
+    profile's priority weights, scores every vertex and picks the argmin
+    (lowest id on ties). Without a profile only the ``distance`` channel is
+    used.
     """
     weights = weights if weights is not None else ObjectiveWeights()
     if profile is None:
@@ -261,10 +281,7 @@ def plan_destination(
     else:
         channels = profile.objectives
         obj_weights = priority_weights(profile)
-    matrices = [
-        build_partial_matrix(graph, positions, ch, parallelism=parallelism)
-        for ch in channels
-    ]
+    matrices = [build_partial_matrix(graph, positions, ch) for ch in channels]
     blended = blend_objectives(matrices, obj_weights)
     d_total = total_distance(blended)
     d_sim = similarity_penalty(blended)
@@ -273,5 +290,7 @@ def plan_destination(
     except NoMutuallyReachableVertex as exc:
         # pipeline callers deal in candidates, not vector-level diagnostics
         raise NoCandidate(str(exc)) from None
-    destination = select_destination(combined, ReachabilitySet.from_matrix(blended))
+    # a combined score is finite exactly where every user can reach the vertex
+    values = combined.values
+    destination = values.index(min(values))
     return PlanResult(destination, blended, d_total, d_sim, combined, obj_weights)

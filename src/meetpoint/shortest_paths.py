@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
 from typing import Iterator, Sequence
 
@@ -41,6 +41,16 @@ class DistanceMatrix:
     def vertex_count(self) -> int:
         return len(self.rows[0].distances) if self.rows else 0
 
+    @cached_property
+    def ranked(self) -> tuple[tuple[float, ...], ...]:
+        """Row m holds, for every vertex, the m-th smallest user distance to it.
+
+        Sorted columns do not depend on user order, so anything summed over
+        them is bit-identical under any permutation of the rows. Built on
+        first use and kept with the matrix.
+        """
+        return tuple(zip(*map(sorted, zip(*(row.distances for row in self.rows)))))
+
 
 @dataclass(frozen=True)
 class ReachabilitySet:
@@ -73,6 +83,8 @@ def _search(graph: Graph, source: int, channel_index: int) -> Iterator[tuple[int
     ascending vertex-id order because the heap keys are (distance, vertex).
     """
     n = graph.vertex_count
+    targets = graph.out_targets
+    weights = graph.out_weights[channel_index]
     best = [UNREACHABLE] * n
     best[source] = 0
     visited = [False] * n
@@ -83,23 +95,51 @@ def _search(graph: Graph, source: int, channel_index: int) -> Iterator[tuple[int
             continue
         visited[u] = True
         yield u, dist
-        for v, weights in graph.out_edges(u):
+        for v, w in zip(targets[u], weights[u]):
             if visited[v]:
                 continue
-            candidate = dist + weights[channel_index]
+            candidate = dist + w
             if candidate < best[v]:
                 best[v] = candidate
                 heappush(heap, (candidate, v))
+
+
+def _bfs(graph: Graph, source: int) -> list[float]:
+    """Hop counts from ``source``, one frontier per level.
+
+    On a channel whose weights are all the integer 1 these are exactly the
+    distances ``_search`` settles, with the same int type.
+    """
+    targets = graph.out_targets
+    distances: list[float] = [UNREACHABLE] * graph.vertex_count
+    distances[source] = 0
+    frontier = [source]
+    depth = 0
+    while frontier:
+        depth += 1
+        reached: list[int] = []
+        push = reached.append
+        for u in frontier:
+            for v in targets[u]:
+                # identity test: unreached entries still hold the sentinel object
+                if distances[v] is UNREACHABLE:
+                    distances[v] = depth
+                    push(v)
+        frontier = reached
+    return distances
 
 
 def dijkstra_row(graph: Graph, source: int, channel: str = "distance") -> DistanceRow:
     """Exact shortest distances from ``source``; no-path entries are UNREACHABLE.
 
     Distances stay exact integers whenever all channel weights are integers.
+    A channel whose weights are all 1 is searched breadth-first.
     """
     if not 0 <= source < graph.vertex_count:
         raise InvalidSource(f"source {source} out of range for {graph.vertex_count} vertices")
     ci = graph.channel_index(channel)
+    if graph.unit_weight[ci]:
+        return DistanceRow(source, tuple(_bfs(graph, source)))
     distances = [UNREACHABLE] * graph.vertex_count
     for v, d in _search(graph, source, ci):
         distances[v] = d
@@ -107,23 +147,17 @@ def dijkstra_row(graph: Graph, source: int, channel: str = "distance") -> Distan
 
 
 def build_partial_matrix(
-    graph: Graph,
-    sources: Sequence[int],
-    channel: str = "distance",
-    *,
-    parallelism: int = 1,
+    graph: Graph, sources: Sequence[int], channel: str = "distance"
 ) -> DistanceMatrix:
     """One dijkstra_row per source, in source order.
 
-    Rows are independent; with ``parallelism > 1`` they are computed on a
-    thread pool and merged back in source order, so the result is identical
-    to the sequential one.
+    A source listed more than once is searched once; its users share the
+    same row object.
     """
     if not sources:
         raise EmptySources("at least one source is required")
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            rows = tuple(pool.map(lambda s: dijkstra_row(graph, s, channel), sources))
-    else:
-        rows = tuple(dijkstra_row(graph, s, channel) for s in sources)
-    return DistanceMatrix(rows, channel)
+    rows: dict[int, DistanceRow] = {}
+    for s in sources:
+        if s not in rows:
+            rows[s] = dijkstra_row(graph, s, channel)
+    return DistanceMatrix(tuple(rows[s] for s in sources), channel)

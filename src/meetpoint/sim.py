@@ -81,7 +81,8 @@ def next_move(
 
     Ties break toward the lower vertex id. ``distances_to_destination`` is a
     row computed on the reversed graph from ``destination``; callers moving
-    many users per tick pass it in to share one search.
+    many users per tick pass it in to share one search. The reversed graph
+    is built once per graph and kept.
     """
     if position == destination:
         return position
@@ -94,10 +95,10 @@ def next_move(
 
     best_target = -1
     best_cost = UNREACHABLE
-    for target, weights in graph.out_edges(position):
+    for target, weight in zip(graph.out_targets[position], graph.out_weights[ci][position]):
         if target == position or remaining[target] == UNREACHABLE:
             continue
-        cost = weights[ci] + remaining[target]
+        cost = weight + remaining[target]
         if cost < best_cost or (cost == best_cost and target < best_target):
             best_cost = cost
             best_target = target

@@ -122,9 +122,7 @@ def test_criterion_5_norm_form_equivalence():
 def test_criterion_6_linear_scaling_in_users():
     with criterion(6, "per-user scaling is linear"):
         counts = list(range(2, 8))
-        rows = run_bench(
-            ["109x128"], counts, reps=7, include_floyd=False, seed=1, parallelism=1
-        )
+        rows = run_bench(["109x128"], counts, reps=7, include_floyd=False, seed=1)
         times = [row.md_seconds for row in rows]
 
         n = len(counts)

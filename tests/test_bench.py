@@ -12,12 +12,11 @@ from meetpoint.maps import bench_map
 
 def test_single_cell_csv_shape():
     rows = run_bench(["8x5"], [2], reps=1, seed=3)
-    text = format_csv(rows, parallelism=1)
+    text = format_csv(rows)
     lines = text.splitlines()
-    assert lines[0] == "# parallelism=1"
-    assert lines[1] == "map,users,md_seconds,floyd_seconds"
-    assert len(lines) == 3
-    name, users, md, floyd = lines[2].split(",")
+    assert lines[0] == "map,users,md_seconds,floyd_seconds"
+    assert len(lines) == 2
+    name, users, md, floyd = lines[1].split(",")
     assert name == "8x5" and users == "2"
     assert float(md) >= 0 and float(floyd) > 0
 
@@ -55,5 +54,5 @@ def test_csv_marks_censored_and_skipped_cells():
         BenchRow("22x10", 3, 0.002, None, False),
     ]
     lines = format_csv(rows).splitlines()
-    assert lines[2].endswith(",censored")
-    assert lines[3].endswith(",")
+    assert lines[1].endswith(",censored")
+    assert lines[2].endswith(",")

@@ -129,9 +129,8 @@ def test_bench_csv_smoke(tmp_path):
                  "--no-floyd", "--seed", "1", "--out", str(out_path)])
     assert code == 0
     lines = out_path.read_text().splitlines()
-    assert lines[0] == "# parallelism=1"
-    assert lines[1] == "map,users,md_seconds,floyd_seconds"
-    assert lines[2].startswith("6x4,2,") and lines[2].endswith(",")
+    assert lines[0] == "map,users,md_seconds,floyd_seconds"
+    assert lines[1].startswith("6x4,2,") and lines[1].endswith(",")
 
 
 def test_render_22x10_fixture_is_pinned(tmp_path, capsys):
