@@ -70,30 +70,26 @@ def _load_instance(args) -> tuple[Graph, tuple[int, ...], PreferenceProfile | No
 
     if getattr(args, "graph", None):
         graph, users, profile = parse_graph_file(Path(args.graph).read_text())
+        grid = None
         if not users:
             raise NoUsers(f"{args.graph} defines no users")
         if scores is not None:
             profile = PreferenceProfile(graph.channels[: len(scores[0])], scores)
-        return graph, users, profile, None
-
-    if not getattr(args, "map", None):
-        raise MeetpointError("one of --map or --graph is required")
-    width = len(scores[0]) if scores else 1
-    if width > len(GRID_CHANNELS):
-        raise MeetpointError(f"grid maps support at most {len(GRID_CHANNELS)} objectives")
-    channels = GRID_CHANNELS[:width]
-    grid, graph = parse_grid_map(
-        Path(args.map).read_text(), channels=channels, require_users=True
-    )
-    profile = None
-    if scores is not None:
-        if len(scores) != len(grid.user_starts):
-            raise MeetpointError(
-                f"{len(scores)} score rows for {len(grid.user_starts)} users"
-            )
-        if width > 1:
-            profile = PreferenceProfile(channels, scores)
-    return graph, grid.user_starts, profile, grid
+    else:
+        if not getattr(args, "map", None):
+            raise MeetpointError("one of --map or --graph is required")
+        width = len(scores[0]) if scores else 1
+        if width > len(GRID_CHANNELS):
+            raise MeetpointError(f"grid maps support at most {len(GRID_CHANNELS)} objectives")
+        channels = GRID_CHANNELS[:width]
+        grid, graph = parse_grid_map(
+            Path(args.map).read_text(), channels=channels, require_users=True
+        )
+        users = grid.user_starts
+        profile = PreferenceProfile(channels, scores) if width > 1 else None
+    if scores is not None and len(scores) != len(users):
+        raise MeetpointError(f"{len(scores)} score rows for {len(users)} users")
+    return graph, users, profile, grid
 
 
 def _print_plan(plan: PlanResult, users: Sequence[int], out) -> None:
@@ -241,13 +237,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MeetpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (MeetpointError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -64,20 +64,21 @@ class GridMap:
     def to_graph(self, channels: Sequence[str] = ("distance",)) -> Graph:
         """4-connected unit-weight graph over the free cells.
 
-        Every requested channel carries the same unit step weight.
+        Every requested channel carries the same unit step weight. Row-major
+        ids put a cell's neighbours in the order up < left < right < down,
+        so the out-edge tables are filled in place, already sorted.
         """
-        unit = (1,) * len(channels)
-        edges: list[tuple[int, int, tuple[int, ...]]] = []
-        for vid, (r, c) in enumerate(self._cells):
-            right = self.vertex_at(r, c + 1) if c + 1 < self.width else None
-            down = self.vertex_at(r + 1, c) if r + 1 < self.height else None
-            if right is not None:
-                edges.append((vid, right, unit))
-                edges.append((right, vid, unit))
-            if down is not None:
-                edges.append((vid, down, unit))
-                edges.append((down, vid, unit))
-        return Graph(self.vertex_count, tuple(edges), tuple(channels))
+        blank = (-1,) * (self.width + 2)
+        rows = [blank, *((-1, *row, -1) for row in self._vertex_ids), blank]
+        targets = []
+        for up, row, down in zip(rows, rows[1:], rows[2:]):
+            for c in range(1, self.width + 1):
+                if row[c] >= 0:
+                    around = (up[c], row[c - 1], row[c + 1], down[c])
+                    targets.append(tuple(v for v in around if v >= 0))
+        ones = [(1,) * degree for degree in range(5)]
+        unit = tuple(ones[len(t)] for t in targets)
+        return Graph(self.vertex_count, tuple(channels), tuple(targets), (unit,) * len(channels))
 
 
 def parse_grid_map(

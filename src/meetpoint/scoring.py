@@ -76,8 +76,9 @@ class ObjectiveWeights:
     beta: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("weights must be non-negative")
+        # nan fails both comparisons; an infinite weight fails the sum below
+        if not (self.alpha >= 0 and self.beta >= 0):
+            raise ValueError(f"weights must be non-negative, got {self.alpha} and {self.beta}")
         if abs(self.alpha + self.beta - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {self.alpha} + {self.beta}")
 
@@ -279,6 +280,8 @@ def plan_destination(
         channels: tuple[str, ...] = ("distance",)
         obj_weights: tuple[float, ...] = (1.0,)
     else:
+        if len(profile.scores) != len(positions):
+            raise ShapeMismatch(f"{len(profile.scores)} score rows for {len(positions)} users")
         channels = profile.objectives
         obj_weights = priority_weights(profile)
     matrices = [build_partial_matrix(graph, positions, ch) for ch in channels]

@@ -69,6 +69,16 @@ class SimTrace:
     visited: tuple[frozenset[int], ...]
 
 
+def _backward(graph: Graph) -> Graph:
+    """The graph whose row from a vertex holds every distance into it.
+
+    A symmetric graph is used as is, not through ``Graph.reverse``, so its
+    rows stay rows of the forward graph to anything that wraps ``reverse``
+    (``perfbench`` keys reversed graphs apart).
+    """
+    return graph if graph.symmetric else graph.reverse()
+
+
 def next_move(
     graph: Graph,
     position: int,
@@ -81,14 +91,15 @@ def next_move(
 
     Ties break toward the lower vertex id. ``distances_to_destination`` is a
     row computed on the reversed graph from ``destination``; callers moving
-    many users per tick pass it in to share one search. The reversed graph
-    is built once per graph and kept.
+    many users per tick pass it in to share one search. A symmetric graph
+    (every undirected graph and grid map) is searched as is; the reversed
+    graph of any other is built once per graph and kept.
     """
     if position == destination:
         return position
     ci = graph.channel_index(channel)
     if distances_to_destination is None:
-        distances_to_destination = dijkstra_row(graph.reverse(), destination, channel)
+        distances_to_destination = dijkstra_row(_backward(graph), destination, channel)
     remaining = distances_to_destination.distances
     if remaining[position] == UNREACHABLE:
         raise UnreachableDestination(f"{destination} is unreachable from {position}")
@@ -115,7 +126,7 @@ def step(state: SimState) -> tuple[SimState, bool]:
     """
     plan = plan_destination(state.graph, state.positions, state.profile, state.weights)
     destination = plan.destination
-    remaining = dijkstra_row(state.graph.reverse(), destination, MOVE_CHANNEL)
+    remaining = dijkstra_row(_backward(state.graph), destination, MOVE_CHANNEL)
     new_positions = []
     for position in state.positions:
         if position == destination:

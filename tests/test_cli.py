@@ -58,6 +58,18 @@ def test_solve_scores_set_objective_weights(example_graph_file, capsys):
     capsys.readouterr()
 
 
+def test_solve_rejects_nan_alpha(example_graph_file, capsys):
+    assert main(["solve", "--graph", str(example_graph_file), "--alpha", "nan"]) == 1
+    assert "destination" not in capsys.readouterr().out
+
+
+def test_solve_graph_needs_one_score_row_per_user(tmp_path, capsys):
+    path = tmp_path / "three.graph"
+    path.write_text("v 3 distance time\ne 0 1 1 2\ne 1 2 1 2\nu 0\nu 1\nu 2\n")
+    assert main(["solve", "--graph", str(path), "--scores", "5,0"]) == 1
+    assert "1 score rows for 3 users" in capsys.readouterr().err
+
+
 def test_solve_missing_file(capsys):
     assert main(["solve", "--map", "/nonexistent.map"]) == 1
     capsys.readouterr()

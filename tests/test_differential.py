@@ -1,9 +1,9 @@
 """Differential tests: the fast paths against slow, independent baselines.
 
 Small random graphs, directed or undirected, with disconnected parts and
-repeated user positions. Channels whose weights are all the integer 1 take
-the breadth-first row search; integer weights with zeros, and float 1.0
-weights, take the heap search.
+repeated user positions, and small random walled grid maps. Channels whose
+weights are all the integer 1 take the breadth-first row search; integer
+weights with zeros, and float 1.0 weights, take the heap search.
 """
 
 import math
@@ -17,19 +17,22 @@ from meetpoint import (
     UNREACHABLE,
     DistanceMatrix,
     DistanceRow,
-    Graph,
     ObjectiveWeights,
     ScoreVector,
     brute_force_destination,
     build_graph,
     combine,
     dijkstra_row,
+    neighbors,
+    next_move,
     plan_destination,
     similarity_penalty,
     total_distance,
 )
 from meetpoint.errors import NoCandidate, NoMutuallyReachableVertex
+from meetpoint.gridmap import GridMap
 from meetpoint.shortest_paths import _search
+from meetpoint.sim import SimState, step
 
 
 WEIGHTS = {
@@ -88,15 +91,76 @@ def test_rows_equal_heap_rows_on_every_channel(graph):
             assert [type(d) for d in row] == [type(d) for d in settled]
 
 
+@given(graphs(channels=("distance", "time")))
+def test_build_graph_round_trips_its_edges(graph):
+    rebuilt = build_graph(graph.vertex_count, graph.edges, graph.channels)
+    assert rebuilt == graph
+    assert rebuilt.unit_weight == graph.unit_weight
+
+
 @given(graphs(undirected=False))
 def test_reverse_is_a_cached_flip(graph):
     reverse = graph.reverse()
-    fresh = Graph(graph.vertex_count, tuple((v, u, w) for u, v, w in graph.edges))
+    flipped = [(v, u, w) for u, v, w in graph.edges]
+    fresh = build_graph(graph.vertex_count, flipped, graph.channels)
     assert reverse == fresh
     assert reverse.out_targets == fresh.out_targets
     assert reverse.out_weights == fresh.out_weights
     assert reverse.unit_weight == fresh.unit_weight
     assert graph.reverse() is reverse
+    assert reverse.reverse() == graph
+    assert graph.symmetric == (reverse is graph)
+
+
+@given(graphs(undirected=True, channels=("distance", "time")))
+def test_undirected_graph_is_its_own_reverse(graph):
+    assert graph.symmetric
+    assert graph.reverse() is graph
+
+
+@st.composite
+def grids(draw):
+    width = draw(st.integers(min_value=1, max_value=7))
+    height = draw(st.integers(min_value=1, max_value=7))
+    row = st.tuples(*[st.booleans()] * width)
+    return GridMap(width, height, tuple(draw(st.lists(row, min_size=height, max_size=height))))
+
+
+@given(grids(), st.sampled_from([("distance",), ("distance", "time")]))
+def test_grid_tables_equal_the_built_graph(grid, channels):
+    edges = []
+    for u in range(grid.vertex_count):
+        r, c = grid.cell_of(u)
+        for dr, dc in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+            if 0 <= r + dr < grid.height and 0 <= c + dc < grid.width:
+                v = grid.vertex_at(r + dr, c + dc)
+                if v is not None:
+                    edges.append((u, v, (1,) * len(channels)))
+    graph = grid.to_graph(channels)
+    built = build_graph(grid.vertex_count, edges, channels)
+    assert graph == built
+    assert graph.unit_weight == built.unit_weight == (True,) * len(channels)
+    assert graph.reverse() is graph
+
+
+@given(graphs(undirected=False), st.data())
+def test_moves_follow_shortest_paths_on_directed_graphs(graph, data):
+    vertex = st.integers(min_value=0, max_value=graph.vertex_count - 1)
+    positions = tuple(data.draw(st.lists(vertex, min_size=1, max_size=4)))
+    try:
+        state = SimState.initial(graph, positions)
+    except NoCandidate:
+        return
+    destination = state.current_destination
+    after, _ = step(state)
+    for position, moved_to in zip(positions, after.positions):
+        assert moved_to == next_move(graph, position, destination)
+        if position == destination:
+            assert moved_to == position
+            continue
+        weight = min(w for t, w in neighbors(graph, position) if t == moved_to)
+        to_go = dijkstra_row(graph, moved_to).distances[destination]
+        assert weight + to_go == dijkstra_row(graph, position).distances[destination]
 
 
 entries = st.one_of(st.integers(min_value=0, max_value=10**9), st.just(UNREACHABLE))

@@ -77,3 +77,10 @@ def test_reverse_flips_directed_edges():
     assert neighbors(r, 1) == [(0, 5)]
     assert neighbors(r, 0) == []
     assert neighbors(r, 2) == [(1, 1)]
+
+
+def test_equality_compares_tables_not_input_order():
+    edges = [(0, 1, 5), (1, 2, 1), (0, 2, 3)]
+    assert build_graph(3, edges) == build_graph(3, edges[::-1])
+    # parallel edges keep their input order
+    assert build_graph(2, [(0, 1, 1), (0, 1, 2)]) != build_graph(2, [(0, 1, 2), (0, 1, 1)])

@@ -293,6 +293,16 @@ def test_objective_weights_validation():
         ObjectiveWeights(0.7, 0.7)
     with pytest.raises(ValueError):
         ObjectiveWeights(-0.1, 1.1)
+    for alpha, beta in [(math.nan, 0.5), (math.nan, math.nan), (math.inf, 0.0)]:
+        with pytest.raises(ValueError):
+            ObjectiveWeights(alpha, beta)
+
+
+def test_plan_needs_one_score_row_per_user():
+    graph = build_graph(3, [(0, 1, 1), (1, 2, 1)], undirected=True)
+    profile = PreferenceProfile(("distance",), ((5,),))
+    with pytest.raises(ShapeMismatch):
+        plan_destination(graph, [0, 1, 2], profile)
 
 
 # --- invariants -------------------------------------------------------------
